@@ -79,8 +79,8 @@ pub struct ClusterSpec {
     /// `i` scales every task duration on worker `i`. Missing entries mean
     /// `1.0`; an empty vector is a fully uniform cluster.
     pub node_slowdown: Vec<f64>,
-    /// Fault-injection parameters; [`FaultSpec::default`] is fully inert
-    /// and keeps the simulator on its legacy bit-identical path.
+    /// Fault-injection parameters; [`FaultSpec::default`] is fully inert:
+    /// no fault fires and the schedule is that of a fault-free cluster.
     pub faults: FaultSpec,
 }
 

@@ -7,8 +7,9 @@
 //! stream (seeded separately from the per-task noise stream) so turning
 //! faults on does not perturb the noise draws of the fault-free model.
 //!
-//! `FaultSpec::default()` disables everything and the engine routes to the
-//! exact legacy scheduling code, so the fault-free simulation stays
+//! The engine has one scheduler, and every run goes through it.
+//! `FaultSpec::default()` disables everything: no fault fires, each task
+//! runs exactly one attempt, and the fault-free simulation stays
 //! bit-identical (asserted by regression tests against pinned
 //! `f64::to_bits` values).
 
@@ -59,8 +60,9 @@ impl FaultSpec {
         }
     }
 
-    /// True when no fault mechanism can fire; the engine then uses the
-    /// legacy (bit-identical) scheduling path.
+    /// True when no fault mechanism can fire: the scheduler runs each task
+    /// exactly once and, on a uniform cluster, books nothing in the fault
+    /// ledger.
     pub fn is_inert(&self) -> bool {
         self.task_failure_prob <= 0.0 && self.node_loss_prob <= 0.0 && !self.speculation
     }
@@ -87,8 +89,9 @@ impl FaultSpec {
 ///     == scheduled_attempts
 /// ```
 ///
-/// On the legacy (inert) path no attempts are "scheduled" through the
-/// fault machinery and the stats stay all-zero.
+/// An inert spec on a uniform cluster schedules nothing through the fault
+/// ledger, so the stats stay all-zero. With straggler nodes the ledger
+/// books one scheduled, successful attempt per task.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct FaultStats {
     /// Total task attempts handed to a slot (map + reduce + speculative).

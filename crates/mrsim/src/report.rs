@@ -32,8 +32,8 @@ pub struct MapTaskReport {
     pub observed_rates: CostRates,
     /// Interpreter ops of the map UDF.
     pub map_cpu_ops: f64,
-    /// 1-based attempt number of the winning attempt (1 on the fault-free
-    /// path; higher after retries).
+    /// 1-based attempt number of the winning attempt (1 when no fault
+    /// fired; higher after retries).
     pub attempt: u32,
     /// True when this result came from a speculative backup that beat the
     /// original attempt.
@@ -102,13 +102,14 @@ pub struct JobReport {
     pub maps_done_ms: f64,
     pub map_tasks: Vec<MapTaskReport>,
     pub reduce_tasks: Vec<ReduceTaskReport>,
-    /// Fault-injection accounting; all-zero on the fault-free path.
+    /// Fault-injection accounting; all-zero for an inert spec on a uniform
+    /// cluster.
     pub faults: FaultStats,
 }
 
 impl JobReport {
-    /// Fraction of scheduled attempts that ran to completion — 1.0 on the
-    /// fault-free path (nothing goes through the fault machinery). The
+    /// Fraction of scheduled attempts that ran to completion — 1.0 when the
+    /// ledger is empty (inert spec, uniform cluster) or nothing failed. The
     /// profiler uses this as the confidence of profiles built from the run.
     pub fn attempt_success_rate(&self) -> f64 {
         if self.faults.scheduled_attempts == 0 {

@@ -73,6 +73,13 @@ cargo test -q -p pstorm-tests --test property_tenants -- --ignored
 echo "==> bounded reshard-chaos sweep"
 cargo test -q -p pstorm-tests --test property_reshard -- --ignored
 
+# Paper gate: every experiment binary reproduces its results/*.txt
+# capture byte for byte. The fast figures run in the plain suite above;
+# the `--ignored` sweep runs the slow ones (fig6_1, fig6_2 at
+# PSTORM_GBRT_SCALE=0.1, fig6_3, sec7_2_extensions, ablations) in release.
+echo "==> paper gate sweep (slow figures vs results/)"
+cargo test --release -q -p pstorm-bench --test paper_gate -- --ignored
+
 # Documentation gate 2: every `DESIGN.md §N` reference in the repo must
 # resolve to a real section, and relative doc links must not dangle.
 echo "==> doc link check"

@@ -55,9 +55,9 @@ fn arb_faults() -> impl Strategy<Value = FaultSpec> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    // Property (a): a spec whose fault mechanisms are all disabled routes
-    // to the legacy scheduling path and reproduces the fault-free engine
-    // bit for bit, whatever the tuning knobs say.
+    // Property (a): a spec whose fault mechanisms are all disabled never
+    // fires and reproduces the fault-free engine bit for bit, whatever the
+    // tuning knobs say.
     #[test]
     fn zero_fault_spec_is_bit_identical(
         seed in 0u64..1_000_000,
